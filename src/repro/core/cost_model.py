@@ -13,29 +13,29 @@ layout metadata and its compiled :class:`~repro.layouts.zonemaps.ZoneMapIndex`
 by ``layout_id``, and per-query costs in a per-layout dict keyed by the
 predicate's structural identity (so retiring a layout is an O(1) pop).
 
-Four evaluation tiers back the same numbers, widest scope first:
+Every number comes from one set of pruning kernels
+(:mod:`repro.layouts.zonemaps`), driven three ways by input shape:
 
-* the **stacked 3-D pass** — :meth:`CostEvaluator.cost_matrix` (and
-  through it admission, pruning, and the per-step D-UMTS cost dicts)
-  registers every priced layout in a
+* **many layouts** — :meth:`CostEvaluator.cost_matrix` (and through it
+  admission, pruning, and the per-step D-UMTS cost dicts) registers
+  every priced layout in a
   :class:`~repro.layouts.stacked.StackedStateSpace` and evaluates the
   compiled sample against the *whole state space at once*: one
-  broadcasted ``(layouts × queries × partitions)`` tensor instead of one
-  compiled pass per layout;
-* the **workload-compiled fast path** — single-layout batches
-  (:meth:`CostEvaluator.cost_vector`) compile the query sample once
+  ``(layouts × queries × partitions)`` tensor instead of one compiled
+  pass per layout;
+* **one layout, a sample** — :meth:`CostEvaluator.cost_vector` and
+  :meth:`CostEvaluator.revalidate` compile the sample once
   (:class:`~repro.layouts.workload_compiler.CompiledWorkload`, memoized
   per sample in a bounded LRU) and evaluate it against that layout's
-  zone-map index in one column-wise pass; the stacked tier also drops
-  residue layouts (non-vectorizable columns) back to this path;
-* the **per-predicate zone-map path** — one vectorized ``_mask``
-  recursion per predicate, used by single-query costing
-  (:meth:`CostEvaluator.query_cost`) and by both batched tiers for
-  residue nodes they cannot lower;
-* the **scalar oracle** — ``Predicate.may_match`` looped over
-  ``PartitionMetadata``, kept as the reference semantics.  The engine
-  falls back to it per node for predicates it cannot lower, and the test
-  suite asserts exact agreement between all tiers.
+  zone-map index through the same routine the stack uses;
+* **one predicate** — :meth:`CostEvaluator.query_cost` takes the
+  zone-map index's tree walk (``ZoneMapIndex.prune_matrix``), which is
+  also where the batched drivers send ``Or``/``Not`` residue.
+
+The scalar oracle — ``Predicate.may_match`` looped over
+``PartitionMetadata`` — stays the reference semantics and the per-node
+fallback for predicates the kernels cannot lower; the test suite asserts
+exact agreement between every driver and it.
 
 Every cached cost keeps its may-match mask alongside the float (a bounded
 per-layout store), which is what makes reorganizations cheap:
@@ -213,7 +213,7 @@ class CostEvaluator:
         cached = costs.get(key)
         if cached is None:
             index = self.zone_maps(layout)
-            mask = index._mask(query.predicate, False)
+            mask = index.prune_matrix([query.predicate])[0]
             cached = self._fraction(mask, index)
             costs[key] = cached
             self._store_mask(layout.layout_id, key, query.predicate, mask)
@@ -451,22 +451,16 @@ class CostEvaluator:
             del costs[key]
         if not masks:
             return 0
-        changed = np.asarray(delta.changed, dtype=np.int64)
-        changed_blocks = None
-        if len(changed):
-            predicates = [predicate for predicate, _ in masks.values()]
-            compiled = self.compiled_workload(predicates, key=tuple(masks))
-            changed_blocks = compiled._evaluate(new_index, False, changed)
-        for position, (key, (predicate, mask)) in enumerate(list(masks.items())):
-            migrated = np.empty(new_index.num_partitions, dtype=bool)
-            migrated[delta.carried_new] = mask[delta.carried_old]
-            if changed_blocks is not None:
-                migrated[changed] = changed_blocks[position]
-            masks[key] = (predicate, migrated)
-            # Migrated masks are bit-for-bit the fresh masks, so the dot
-            # below re-derives the exact fresh float; kernel work stayed
-            # confined to the changed partitions.
-            costs[key] = self._fraction(migrated, new_index)
+        predicates = [predicate for predicate, _ in masks.values()]
+        compiled = self.compiled_workload(predicates, key=tuple(masks))
+        prior = np.stack([mask for _, mask in masks.values()])
+        # Carried partitions' cells are copied; kernels run only on the
+        # partitions the reorg touched.  Migrated masks are bit-for-bit the
+        # fresh masks, so the dot below re-derives the exact fresh float.
+        migrated = compiled.revalidate(new_index, delta, prior)
+        for row, (key, (predicate, _)) in enumerate(list(masks.items())):
+            masks[key] = (predicate, migrated[row])
+            costs[key] = self._fraction(migrated[row], new_index)
         return len(masks)
 
     def forget(self, layout_id: str) -> None:

@@ -49,6 +49,7 @@ from ..layouts.base import DataLayout, LayoutBuilder
 from ..layouts.hash_layout import HashLayoutBuilder, RoundRobinLayoutBuilder
 from ..layouts.range_layout import RangeLayoutBuilder
 from ..layouts.zorder import ZOrderLayoutBuilder
+from ..storage.partition import StoredPartition
 from ..storage.partition_store import PartitionStore
 from ..storage.table import ColumnSpec, Schema, Table
 from .config import EngineConfig
@@ -345,6 +346,8 @@ class StoreDir:
     def __init__(self, root: Path | str):
         self.root = Path(root)
         self._manifest: StoreManifest | None = None
+        #: whether this handle has already checked the log for a torn tail
+        self._tail_checked = False
 
     # ------------------------------------------------------------------ layout
     @property
@@ -424,6 +427,11 @@ class StoreDir:
         if batch.num_rows == 0:
             raise ValueError("refusing to log an empty batch")
         entries = self._wal_files()
+        if entries and not self._tail_checked:
+            # A torn tail left by a crash must go before it is numbered past.
+            if self._read_entry(entries, len(entries) - 1) is None:
+                entries.pop()
+            self._tail_checked = True
         next_seq = entries[-1][0] + 1 if entries else 0
         written = self._wal_store().write_partition_file(
             batch, np.arange(batch.num_rows), next_seq, self.wal_root
@@ -434,25 +442,31 @@ class StoreDir:
         """Replay the ingest log into in-memory batches, in append order.
 
         A partial *tail* file (the one write a crash may have cut short)
-        is dropped — that batch was never acknowledged.  A corrupt file
-        anywhere earlier in the log is real damage and raises.
+        is removed — that batch was never acknowledged, and the next
+        append takes its sequence number.  A corrupt file anywhere earlier
+        in the log is real damage and raises.
         """
         entries = self._wal_files()
-        batches: list[Table] = []
+        batches = [self._read_entry(entries, position) for position in range(len(entries))]
+        self._tail_checked = True
+        return [batch for batch in batches if batch is not None]
+
+    def _read_entry(self, entries: list[tuple[int, Path]], position: int) -> Table | None:
+        """One logged batch; ``None`` when it is a torn tail (now removed)."""
+        sequence, path = entries[position]
         schema = self.manifest.schema
-        for position, (_, path) in enumerate(entries):
-            try:
-                with np.load(path) as archive:
-                    columns = {name: archive[name] for name in schema.names()}
-            except (zipfile.BadZipFile, OSError, KeyError, EOFError, ValueError) as error:
-                if position == len(entries) - 1:
-                    # Unacknowledged tail write cut by a crash: not data loss.
-                    break
+        try:
+            with np.load(path) as archive:
+                columns = {name: archive[name] for name in schema.names()}
+        except (zipfile.BadZipFile, OSError, KeyError, EOFError, ValueError) as error:
+            if position < len(entries) - 1:
                 raise RuntimeError(
                     f"ingest log corrupt at {path} (not the tail): {error}"
                 ) from error
-            batches.append(Table(schema, columns))
-        return batches
+            # Unacknowledged tail write cut by a crash: not data loss.
+            self._wal_store().remove_partition_file(StoredPartition(sequence, path, 0, 0))
+            return None
+        return Table(schema, columns)
 
     @property
     def batches_logged(self) -> int:

@@ -22,9 +22,9 @@ thin driver over :class:`~repro.engine.LayoutEngine`: the logical
 schedule becomes a :class:`~repro.engine.policies.SchedulePolicy`, the
 engine runs the serve → decide → move loop (synchronous or pipelined per
 ``async_reorg``), and the driver only samples timings and shapes the
-result.  The pre-facade loop is kept verbatim as
-:func:`_replay_physical_direct` — the reference implementation the
-differential suite asserts the engine path against, bit for bit
+result.  The pre-facade loop lives on in
+``tests/engine/test_replay_differential.py`` as the reference
+implementation the engine path is asserted against, bit for bit
 (metadata, partition bytes, deterministic counters).
 
 Two reorganization modes are supported.  The default synchronous mode
@@ -44,12 +44,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from ..core.reorg_scheduler import ReorgScheduler
 from ..engine import EngineConfig, LayoutEngine, SchedulePolicy
 from ..queries.query import QueryStream
-from ..storage.executor import QueryExecutor
-from ..storage.partition_store import PartitionStore
-from ..storage.reorg import reorganize
 from ..storage.table import Table
 from .harness import MethodResult
 
@@ -78,7 +74,7 @@ class PhysicalRunResult:
 
 
 def _validate_replay(sample_stride: int, history: list[str], stream: QueryStream) -> None:
-    """Shared input validation of both replay implementations."""
+    """Input validation shared with the differential suite's reference loop."""
     if sample_stride < 1:
         raise ValueError("sample_stride must be >= 1")
     if len(history) != len(stream):
@@ -118,7 +114,7 @@ def replay_physical(
     This is a thin driver over :class:`~repro.engine.LayoutEngine` with a
     :class:`~repro.engine.policies.SchedulePolicy`; the differential suite
     asserts it bit-for-bit equal to the pre-facade loop
-    (:func:`_replay_physical_direct`).
+    (``tests/engine/test_replay_differential.py``).
     """
     history = result.ledger.layout_history
     _validate_replay(sample_stride, history, stream)
@@ -158,111 +154,4 @@ def replay_physical(
         queries_timed=queries_timed,
         queries_total=len(stream),
         movement_charged=stats.movement_charged,
-    )
-
-
-def _replay_physical_direct(
-    table: Table,
-    stream: QueryStream,
-    result: MethodResult,
-    store_root: Path | str,
-    sample_stride: int = 10,
-    compress: bool = True,
-    async_reorg: bool = False,
-    step_partitions: int = 16,
-    alpha: float | None = None,
-) -> PhysicalRunResult:
-    """The pre-facade replay loop, kept as the differential reference.
-
-    Hand-wires ``PartitionStore`` + ``QueryExecutor`` + ``ReorgScheduler``
-    exactly as :func:`replay_physical` did before the
-    :class:`~repro.engine.LayoutEngine` facade existed.  The differential
-    suite (``tests/engine/test_replay_differential.py``) asserts the
-    engine-driven path produces identical metadata, partition bytes and
-    deterministic counters in both modes; it exists for that proof, not
-    for production use.
-    """
-    history = result.ledger.layout_history
-    _validate_replay(sample_stride, history, stream)
-    store = PartitionStore(store_root, compress=compress)
-    executor = QueryExecutor(store)
-    scheduler = (
-        ReorgScheduler(
-            store, executor=executor, alpha=alpha, step_partitions=step_partitions
-        )
-        if async_reorg
-        else None
-    )
-
-    current_id = history[0]
-    stored = store.materialize(table, result.layouts[current_id])
-    reorg_seconds = 0.0
-    movement_charged = 0.0
-    sampled_seconds: list[float] = []
-    num_switches = 0
-
-    def settle_pipeline():
-        """Drain the in-flight pipeline and account for it exactly once."""
-        nonlocal stored, reorg_seconds, movement_charged
-        stored, completed = scheduler.drain()
-        reorg_seconds += completed.elapsed_seconds
-        movement_charged += scheduler.charged
-
-    try:
-        for index, query in enumerate(stream):
-            target_id = history[index]
-            if target_id != current_id:
-                if scheduler is not None:
-                    if scheduler.active:
-                        # Back-to-back switch decisions serialize: finish
-                        # the in-flight move before starting the next.
-                        settle_pipeline()
-                    scheduler.start(stored, result.layouts[target_id], table.schema)
-                else:
-                    stored, reorg_result = reorganize(
-                        store, stored, result.layouts[target_id], table.schema
-                    )
-                    reorg_seconds += reorg_result.elapsed_seconds
-                    if alpha is not None:
-                        movement_charged += alpha
-                    # The old files are gone from disk; its compiled index
-                    # is carried forward incrementally for the partitions
-                    # the reorg left untouched (falls back to lazy
-                    # recompile).
-                    executor.apply_reorg(current_id, stored, reorg_result.delta)
-                num_switches += 1
-                current_id = target_id
-            if scheduler is not None and scheduler.pipeline is not None:
-                # Serve against the visible epoch (old until the flip).
-                stored = scheduler.visible
-            if index % sample_stride == 0:
-                outcome = executor.execute(stored, query)
-                sampled_seconds.append(outcome.elapsed_seconds)
-            if scheduler is not None and scheduler.active:
-                scheduler.tick()
-                if not scheduler.active:
-                    settle_pipeline()
-        if scheduler is not None and scheduler.active:
-            # The stream ended with a move in flight: finish it so the
-            # result accounts for the whole reorganization.
-            settle_pipeline()
-    except BaseException:
-        # Unwinding on error (or Ctrl-C): the result is discarded, so
-        # don't execute the remaining movement steps just to clean up —
-        # abort is O(1) and leaves the old epoch's files (= `stored`).
-        if scheduler is not None and scheduler.active:
-            scheduler.abort()
-        raise
-    finally:
-        store.delete_layout(stored)
-
-    queries_timed = len(sampled_seconds)
-    mean_query = sum(sampled_seconds) / queries_timed if queries_timed else 0.0
-    return PhysicalRunResult(
-        query_seconds=mean_query * len(stream),
-        reorg_seconds=reorg_seconds,
-        num_switches=num_switches,
-        queries_timed=queries_timed,
-        queries_total=len(stream),
-        movement_charged=movement_charged,
     )

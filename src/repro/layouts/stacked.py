@@ -12,29 +12,24 @@ a small ``(atoms × partitions)`` block.
 every layout's dense zone arrays (min/max vectors, stats/distinct flags,
 packed ``uint64`` distinct-set bitmaps re-coded onto one shared value
 union) into ``(layouts × partitions)`` slabs with a validity mask, and
-evaluates a compiled workload's group kernels over the *flattened*
-``layouts·partitions`` axis — emitting the full ``(layouts × queries ×
-partitions)`` may-match / matches-all tensor in the same handful of
-broadcasted comparisons a single layout used to cost.  Because every
-kernel is the very same :class:`CompiledWorkload` branch running on the
-concatenation of the very same per-layout arrays, each layout's slice of
-the tensor is bit-for-bit identical to the per-layout compiled pass (and
-therefore to the scalar ``may_match`` oracle) — asserted by the
+serves them to :meth:`CompiledWorkload.evaluate` as a *zones source*
+over the *flattened* ``layouts·partitions`` axis — the same evaluation
+routine, the same shared pruning kernels
+(:func:`repro.layouts.zonemaps._zone_mask`) and the same pre-planned
+reduction a single layout uses, emitting the full ``(layouts × queries ×
+partitions)`` tensor in one pass.  Because the kernels run on the
+concatenation of the very same per-layout arrays, each layout's slice
+of the tensor is bit-for-bit identical to the per-layout compiled pass
+(and therefore to the scalar ``may_match`` oracle) — asserted by the
 differential test battery.
 
-Fallback tiers (widest to narrowest scope):
-
-1. **stacked 3-D pass** — all layouts whose referenced columns compiled
-   to dense zones; the default for admission, pruning, and cost batching;
-2. **per-layout compiled pass** — *residue layouts*: a layout whose
-   referenced column has non-numeric / float64-lossy boundaries (its
-   slab cannot be stacked) is evaluated through the ordinary per-layout
-   :meth:`CompiledWorkload._group_matrix` path and written into its
-   slice of the tensor; likewise ``In`` groups fall back per layout when
-   the stacked column is not uniformly distinct-mapped;
-3. **scalar oracle** — residue *predicates* (``Or``/``Not`` subtrees,
-   unsupported nodes, lossy constants) AND-fold per layout through
-   ``ZoneMapIndex._mask``, exactly as in the per-layout compiled pass.
+The stack has no evaluator of its own; it only says where its zones
+cannot be used.  A slab whose column has non-numeric / float64-lossy
+boundaries (a *residue layout*) is listed by :meth:`column_zones`, and
+residue *predicates* (``Or``/``Not`` subtrees, unsupported nodes, lossy
+constants) are AND-folded per live slab (:attr:`segments`); both go
+through that layout's ``ZoneMapIndex._mask`` tree walk, which falls back
+to the scalar oracle where needed.
 
 Incremental maintenance on the layout axis mirrors the partition-axis
 contract of :meth:`ZoneMapIndex.apply_reorg`:
@@ -74,6 +69,8 @@ from .zonemaps import (
     ZoneMapIndex,
     _ColumnZones,
     _fractions_from_matrix,
+    _set_bits,
+    _unpack,
     _Unsupported,
     _WORD_BITS,
 )
@@ -147,20 +144,11 @@ def _recode_bitmap(src: np.ndarray, positions: np.ndarray) -> np.ndarray:
         return src
     if np.array_equal(positions, np.arange(num_values)):
         return src
-    src_positions = np.arange(num_values)
-    words = src[:, src_positions // _WORD_BITS]
-    probe = np.left_shift(
-        np.uint64(1), (src_positions % _WORD_BITS).astype(np.uint64)
-    )
-    part, member = np.nonzero((words & probe[None, :]) != 0)
+    part, member = np.nonzero(_unpack(src, np.arange(num_values)))
     num_words = (int(positions.max()) + _WORD_BITS) // _WORD_BITS
     out = np.zeros((num_partitions, num_words), dtype=np.uint64)
     if len(part):
-        dst = positions[member]
-        bits = np.left_shift(np.uint64(1), (dst % _WORD_BITS).astype(np.uint64))
-        np.bitwise_or.at(
-            out.reshape(-1), part * num_words + dst // _WORD_BITS, bits
-        )
+        _set_bits(out.reshape(-1), part, positions[member], num_words)
     return out
 
 
@@ -428,11 +416,7 @@ class StackedStateSpace:
                 flat_width,
                 len(column.value_index),
             ):
-                positions = np.arange(len(column.value_index))
-                unpacked = (
-                    bitmap[:, positions // _WORD_BITS]
-                    >> (positions % _WORD_BITS).astype(np.uint64)
-                ) & np.uint64(1) != 0
+                unpacked = _unpack(bitmap, np.arange(len(column.value_index)))
                 column.unpacked_cache = unpacked
             zones.unpacked = unpacked
         self._zones_cache[name] = (self._version, zones)
@@ -560,13 +544,40 @@ class StackedStateSpace:
             slots = sorted(self._slots.values())
         else:
             slots = [self._slots[layout_id] for layout_id in layout_ids]
-        flat = self._evaluate(compiled, want_all)
+        flat = compiled.evaluate(self, want_all)
         tensor = flat.reshape(compiled.num_queries, len(self._indexes), self._p_cap)
         if slots == list(range(len(self._indexes))):
             return tensor.transpose(1, 0, 2)  # every slot, in order: a view
         return tensor[:, slots, :].transpose(1, 0, 2)
 
-    def _scratch(self, role: str, rows: int, cols: int) -> np.ndarray:
+    # ------------------------------------------------------------ zones source
+    # The stack is a zones source (see ``CompiledWorkload.evaluate``) over
+    # its flat ``slots × partition_width`` axis.
+    @property
+    def width(self) -> int:
+        """Flat slab axis length: every slot's padded partition row."""
+        return len(self._indexes) * self._p_cap
+
+    def column_zones(self, name: str) -> tuple[_ColumnZones, list]:
+        """Flat zones of ``name`` plus the slabs that cannot ride them."""
+        zones = self._zones(name)
+        return zones, self._segments(self._columns[name].unsupported)
+
+    @property
+    def segments(self) -> list:
+        """Every live, non-empty slab as an ``(index, columns, None)`` triple."""
+        return self._segments(range(len(self._indexes)))
+
+    def _segments(self, slots) -> list:
+        out = []
+        for slot in sorted(slots):
+            index = self._indexes[slot]
+            if index is not None and index.num_partitions:
+                base = slot * self._p_cap
+                out.append((index, slice(base, base + index.num_partitions), None))
+        return out
+
+    def scratch(self, role: str, rows: int, cols: int) -> np.ndarray:
         """A reusable ``(rows, cols)`` bool workspace for one evaluation step."""
         need = rows * cols
         buffer = self._buffers.get(role)
@@ -574,93 +585,3 @@ class StackedStateSpace:
             buffer = np.empty(need, dtype=bool)
             self._buffers[role] = buffer
         return buffer[:need].reshape(rows, cols)
-
-    def _evaluate(self, compiled: CompiledWorkload, want_all: bool) -> np.ndarray:
-        """``(queries, slots·width)`` flat matrix over all slabs at once.
-
-        Mirrors :meth:`CompiledWorkload._evaluate` — same group blocks,
-        same pre-planned depth-layer AND-reduction — with the partition
-        axis widened to the whole stack.
-        """
-        width = len(self._indexes) * self._p_cap
-        if compiled._num_atoms:
-            # Group kernels write straight into their slice of the block
-            # matrix: no per-group allocation, no vstack copy.
-            stacked = self._scratch(
-                "blocks", compiled._num_unique_atoms, width
-            )
-            offset = 0
-            for group in compiled._groups:
-                rows = len(group.unodes)
-                self._group_block(
-                    compiled, group, want_all, stacked[offset : offset + rows]
-                )
-                offset += rows
-            reduced = np.take(stacked, compiled._base_rows, axis=0)
-            for owner_ranks, atom_rows in compiled._layers:
-                gathered = np.take(
-                    stacked,
-                    atom_rows,
-                    axis=0,
-                    out=self._scratch("layer", len(atom_rows), width),
-                )
-                if owner_ranks is None:
-                    np.logical_and(reduced, gathered, out=reduced)
-                else:
-                    reduced[owner_ranks] &= gathered
-            if compiled._covers_all:
-                out = reduced  # target rows are exactly 0..Q-1, in order
-            else:
-                out = np.ones((compiled.num_queries, width), dtype=bool)
-                out[compiled._target_rows] = reduced
-        else:
-            out = np.ones((compiled.num_queries, width), dtype=bool)
-        for row in compiled._false_rows:
-            out[row] = False
-        if compiled._residue:
-            # Residue predicates are exact via each layout's per-predicate
-            # path — the same tier the per-layout compiled pass uses.
-            for slot, index in enumerate(self._indexes):
-                if index is None or index.num_partitions == 0:
-                    continue
-                base = slot * self._p_cap
-                segment = out[:, base : base + index.num_partitions]
-                for row, node in compiled._residue:
-                    segment[row] &= index._mask(node, want_all)
-        return out
-
-    def _group_block(
-        self,
-        compiled: CompiledWorkload,
-        group,
-        want_all: bool,
-        out: np.ndarray,
-    ) -> None:
-        """One group's ``(unique_atoms, slots·width)`` mask block → ``out``.
-
-        The stacked kernel covers every slab in one broadcasted call;
-        slabs that cannot ride it — unsupported (residue-layout) columns,
-        or every slab when an ``In`` group lacks a uniform distinct
-        mapping — are overwritten with the per-layout
-        :meth:`CompiledWorkload._group_matrix` block, which is exactly
-        what the per-layout compiled pass would produce.
-        """
-        zones = self._zones(group.column)
-        column = self._columns[group.column]
-        if group.kind == "in" and not zones.all_distinct:
-            fallback: set[int] | None = None  # every live slot falls back
-        else:
-            fallback = column.unsupported
-            compiled._group_mask(group, zones, want_all, out)
-            if not fallback:
-                return
-        for slot, index in enumerate(self._indexes):
-            if index is None:
-                continue
-            if fallback is not None and slot not in fallback:
-                continue
-            base = slot * self._p_cap
-            num = index.num_partitions
-            compiled._group_matrix(
-                group, index, want_all, num, None, out[:, base : base + num]
-            )

@@ -1,12 +1,11 @@
 """Workload compiler: one column-wise pass for a whole query sample.
 
-The per-predicate zone-map path (:meth:`ZoneMapIndex.prune_matrix`) is
-already vectorized *across partitions*, but it still recurses ``_mask``
-once per predicate: evaluating a D-UMTS admission sample against a
-candidate layout costs ``O(|sample|)`` AST walks, each issuing a handful
-of small NumPy calls.  At 64-query samples over dozens of candidate
-layouts, that per-call overhead is the dominant cost of Algorithm 5's
-admission loop.
+The tree walk (:meth:`ZoneMapIndex._mask`) is vectorized *across
+partitions*, but it still recurses once per predicate: evaluating a
+D-UMTS admission sample against a candidate layout costs ``O(|sample|)``
+AST walks, each issuing a handful of small NumPy calls.  At 64-query
+samples over dozens of candidate layouts, that per-call overhead is the
+dominant cost of Algorithm 5's admission loop.
 
 :class:`CompiledWorkload` removes it by compiling the *sample itself*,
 once, independent of any layout:
@@ -14,28 +13,26 @@ once, independent of any layout:
 1. every query predicate is flattened into its top-level conjunction
    (``And`` trees; a bare atom is a one-conjunct conjunction);
 2. supported atomic conjuncts — ``Comparison``, ``Between``, ``In`` —
-   are grouped by ``(column, operator)`` and their constants stacked
-   into dense float64 arrays;
+   are grouped by ``(column, kind)`` and their constants deduplicated
+   and stacked on an atoms axis;
 3. anything else (``Or``/``Not`` subtrees, user-defined predicates,
    non-numeric or float64-lossy constants) becomes *residue*: it is
-   evaluated through the per-predicate ``ZoneMapIndex`` path, node by
-   node, exactly as before;
-4. the AND-reduction over each query's conjuncts is *pre-planned*: the
-   atom→query ownership of all groups is concatenated, argsorted, and
-   segmented once at compile time, so evaluation folds every group's
-   mask block into the query rows with a single ``logical_and.reduceat``
-   instead of one fancy-indexed update per group.
+   evaluated through the tree walk, node by node;
+4. the AND-reduction over each query's conjuncts is *pre-planned* into
+   depth layers at compile time (see :meth:`CompiledWorkload._plan_reduction`).
 
-Evaluating the compiled workload against a layout's
-:class:`~repro.layouts.zonemaps.ZoneMapIndex` then produces the full
-``(num_queries, num_partitions)`` may-match or matches-all matrix in a
-handful of broadcasted comparisons — one ``(num_atoms, num_partitions)``
-mask per group plus the single fused reduction — instead of one
-``_mask`` recursion per query.  Because every group kernel mirrors the
-corresponding ``ZoneMapIndex`` branch operation for operation, the
-output is bit-for-bit identical to both the per-predicate path and the
-scalar ``may_match``/``matches_all`` oracle (asserted by the
-equivalence and property test suites).
+:meth:`CompiledWorkload.evaluate` is the one evaluation routine of both
+batched drivers: one block per group from the shared pruning kernel
+(:func:`repro.layouts.zonemaps._zone_mask`), the depth-layer reduction,
+then false rows and residue.  It reads a *zones source* — one layout's
+:class:`~repro.layouts.zonemaps.ZoneMapIndex` (optionally restricted to
+some partition positions), or the
+:class:`~repro.layouts.stacked.StackedStateSpace` slab view of every
+layout at once.  Segments a source cannot vectorize (a column with
+non-numeric boundaries) take the tree walk, which falls back to the
+scalar oracle there; every output is bit-for-bit the scalar
+``may_match``/``matches_all`` oracle (asserted by the equivalence and
+property suites).
 
 Conjunction semantics make the reduction exact: for ``And`` nodes both
 ``may_match`` and ``matches_all`` distribute over children as logical
@@ -47,24 +44,6 @@ reorganization described by a :class:`~repro.layouts.zonemaps.ReorgDelta`,
 :meth:`CompiledWorkload.revalidate` copies matrix columns for carried
 partitions from the prior result and re-evaluates only the changed
 partitions' columns.
-
-A compiled workload is the middle tier of a three-tier fallback chain,
-widest scope first:
-
-1. **stacked 3-D pass** — :class:`repro.layouts.stacked.StackedStateSpace`
-   evaluates one compiled workload against *every* layout in the state
-   space at once, emitting the ``(layouts × queries × partitions)``
-   tensor from the same group kernels run over the concatenated slabs;
-2. **per-layout compiled pass** (this module) — one
-   ``(queries × partitions)`` matrix per :class:`ZoneMapIndex`; the
-   stacked tier drops *residue layouts* (non-vectorizable columns) back
-   here, and single-layout callers (cost vectors, batch planning) start
-   here;
-3. **scalar oracle** — ``Predicate.may_match`` per partition; both fast
-   tiers fall back to it per node for *residue predicates*
-   (``Or``/``Not`` subtrees, unsupported nodes, lossy constants), and
-   every tier is asserted bit-for-bit equal to it by the equivalence and
-   property suites.
 """
 
 # reprolint: vectorized
@@ -87,31 +66,15 @@ from ..queries.predicates import (
 from .zonemaps import (
     ReorgDelta,
     ZoneMapIndex,
+    _atom,
     _ColumnZones,
     _fractions_from_matrix,
-    _pack_value_set,
+    _stack_constants,
     _Unsupported,
-    _WORD_BITS,
+    _zone_mask,
 )
 
-__all__ = ["CompiledWorkload", "compile_workload"]
-
-
-def _maybe_exact_float(value) -> float | None:
-    """``value`` as an exactly-representable float64, else None.
-
-    Non-raising twin of :func:`repro.layouts.zonemaps._exact_float` for
-    the compile loop, where unsupported constants are the common,
-    expected branch rather than an exception.
-    """
-    if hasattr(value, "item"):
-        value = value.item()
-    try:
-        result = float(value)
-    except (TypeError, ValueError):
-        return None
-    # NaN also lands here (nan != nan): NaN constants take the residue path.
-    return result if result == value else None
+__all__ = ["CompiledWorkload"]
 
 
 class _AtomGroup:
@@ -125,24 +88,12 @@ class _AtomGroup:
     ``freeze`` dedups the constants: workload streams dwell on one
     template for whole segments, so a 64-query sample routinely repeats
     the same handful of constants (a 5-value dimension column can only
-    produce 5 distinct equality atoms).  Kernels run over the *unique*
-    constants and the result block is expanded back to atom rows with
-    one boolean gather (``inverse``), which is far cheaper than the
-    duplicate comparisons it replaces.
+    produce 5 distinct equality atoms).  The kernel runs over the *unique*
+    constants (``block``, stacked on the atoms axis) and the pre-planned
+    reduction reads unique rows through ``inverse``.
     """
 
-    __slots__ = (
-        "column",
-        "kind",
-        "owners",
-        "nodes",
-        "values",
-        "lows",
-        "highs",
-        "raw",
-        "unodes",
-        "inverse",
-    )
+    __slots__ = ("column", "kind", "owners", "nodes", "a", "b", "unodes", "block", "inverse")
 
     def __init__(self, column: str, kind: str):
         self.column = column
@@ -150,42 +101,35 @@ class _AtomGroup:
         self.owners: list[int] = []
         #: original AST nodes, for the per-predicate fallback path
         self.nodes: list[Predicate] = []
-        #: accumulation lists while building; frozen to float64 arrays
-        #: (except for "in" groups' values) by :meth:`freeze`
-        self.values: list[float] | np.ndarray = []  # comparisons
-        self.lows: list[float] | np.ndarray = []  # betweens
-        self.highs: list[float] | np.ndarray = []
-        self.raw: list = []  # original ==/!= constants, for membership tests
-        #: deduplicated nodes and the expansion gather, set by freeze()
+        #: per-atom kernel constants, as built by ``zonemaps._atom``
+        self.a: list = []
+        self.b: list = []
+        #: deduplicated nodes, their stacked constants and the expansion
+        #: gather, set by freeze()
         self.unodes: list[Predicate] = []
+        self.block: tuple = ()
         self.inverse: np.ndarray | None = None
 
     def freeze(self) -> None:
         # First-occurrence-order dedup (a dict, no sort): slots keep the
         # original relative order, so "no duplicates" means the expansion
-        # gather is the identity and can be skipped outright.
-        if self.kind == "between":
-            keys = list(zip(self.lows, self.highs, strict=True))
-        elif self.kind == "in":
-            keys = [node.values for node in self.nodes]
-        else:
-            keys = self.values
+        # gather is the identity and can be skipped outright.  The key is
+        # a comparison's float value (its raw constant may be unhashable),
+        # a Between's bounds or an In's value set.
         slots: dict = {}
         first: list[int] = []
         inverse: list[int] = []
+        keys = zip(self.a, self.b, strict=True) if self.kind == "between" else self.a
         for position, key in enumerate(keys):
             slot = slots.get(key)
             if slot is None:
                 slot = slots[key] = len(first)
                 first.append(position)
             inverse.append(slot)
-        if self.kind == "between":
-            self.lows = np.asarray([self.lows[i] for i in first], dtype=np.float64)
-            self.highs = np.asarray([self.highs[i] for i in first], dtype=np.float64)
-        elif self.kind != "in":
-            self.values = np.asarray([self.values[i] for i in first], dtype=np.float64)
-            self.raw = [self.raw[i] for i in first]
         self.unodes = [self.nodes[i] for i in first]
+        self.block = _stack_constants(
+            self.kind, [self.a[i] for i in first], [self.b[i] for i in first]
+        )
         if len(first) == len(self.nodes):
             self.inverse = None
         else:
@@ -202,6 +146,46 @@ def _sliced_zones(zones: _ColumnZones, positions: np.ndarray) -> _ColumnZones:
         None if zones.bitmap is None else zones.bitmap[positions],
         zones.value_index,
     )
+
+
+class _IndexSource:
+    """Zones source over one layout's index, optionally restricted to some
+    partition positions (the changed partitions of a reorganization).
+
+    A *zones source* is what :meth:`CompiledWorkload.evaluate` reads:
+
+    * ``width`` — the number of output columns;
+    * ``column_zones(name)`` — ``(zones, fallback)``: the column's zones
+      over those columns (``None``: no partition has stats for it) and the
+      segments whose zones cannot be vectorized;
+    * ``segments`` — ``(index, columns, positions)`` triples covering the
+      output, where per-predicate ``index._mask`` results (restricted to
+      ``positions`` when given) land for residue and fallback atoms;
+    * ``scratch(role, rows, cols)`` — a bool workspace the result never
+      aliases.
+
+    :class:`~repro.layouts.stacked.StackedStateSpace` is the other source:
+    its flat ``slots × partition_width`` slab view.
+    """
+
+    def __init__(self, index: ZoneMapIndex, positions: np.ndarray | None = None):
+        self.index = index
+        self.positions = positions
+        self.width = index.num_partitions if positions is None else len(positions)
+        self.segments = ((index, slice(None), positions),)
+
+    def column_zones(self, name: str) -> tuple[_ColumnZones | None, tuple]:
+        try:
+            zones = self.index._column(name)
+        except _Unsupported:
+            return None, self.segments
+        if zones is not None and self.positions is not None:
+            zones = _sliced_zones(zones, self.positions)
+        return zones, ()
+
+    @staticmethod
+    def scratch(role: str, rows: int, cols: int) -> np.ndarray:
+        return np.empty((rows, cols), dtype=bool)
 
 
 class CompiledWorkload:
@@ -238,47 +222,28 @@ class CompiledWorkload:
     # -------------------------------------------------------------- compilation
     def _lower(self, row: int, node: Predicate, groups: dict) -> None:
         node_type = type(node)
-        if node_type is Comparison:
-            value = _maybe_exact_float(node.value)
-            if value is None:
-                self._residue.append((row, node))
-                return
-            key = (node.column, node.op)
-            group = groups.get(key)
-            if group is None:
-                group = groups[key] = _AtomGroup(node.column, node.op)
-            group.owners.append(row)
-            group.nodes.append(node)
-            group.values.append(value)
-            group.raw.append(node.value)
-        elif node_type is Between:
-            low = _maybe_exact_float(node.low)
-            high = _maybe_exact_float(node.high)
-            if low is None or high is None:
-                self._residue.append((row, node))
-                return
-            key = (node.column, "between")
-            group = groups.get(key)
-            if group is None:
-                group = groups[key] = _AtomGroup(node.column, "between")
-            group.owners.append(row)
-            group.nodes.append(node)
-            group.lows.append(low)
-            group.highs.append(high)
-        elif node_type is In:
-            key = (node.column, "in")
-            group = groups.get(key)
-            if group is None:
-                group = groups[key] = _AtomGroup(node.column, "in")
-            group.owners.append(row)
-            group.nodes.append(node)
-        elif node_type is AlwaysTrue:
-            pass  # identity of the conjunction
-        elif node_type is AlwaysFalse:
+        if node_type is AlwaysTrue:
+            return  # identity of the conjunction
+        if node_type is AlwaysFalse:
             self._false_rows.append(row)
-        else:
-            # Or / Not / unknown subclasses: exact via the per-predicate path.
-            self._residue.append((row, node))
+            return
+        if node_type is Comparison or node_type is Between or node_type is In:
+            try:
+                kind, a, b = _atom(node, eager_in=True)
+            except _Unsupported:
+                # Lossy constants: exact via the per-predicate path.
+                self._residue.append((row, node))
+                return
+            group = groups.get((node.column, kind))
+            if group is None:
+                group = groups[(node.column, kind)] = _AtomGroup(node.column, kind)
+            group.owners.append(row)
+            group.nodes.append(node)
+            group.a.append(a)
+            group.b.append(b)
+            return
+        # Or / Not / unknown subclasses: exact via the per-predicate path.
+        self._residue.append((row, node))
 
     def _plan_reduction(self) -> None:
         """Pre-plan the fused AND-reduction over all groups' atoms.
@@ -343,11 +308,11 @@ class CompiledWorkload:
     # --------------------------------------------------------------- evaluation
     def prune_matrix(self, index: ZoneMapIndex) -> np.ndarray:
         """``(num_queries, num_partitions)`` may-match matrix for ``index``."""
-        return self._evaluate(index, want_all=False)
+        return self.evaluate(_IndexSource(index), want_all=False)
 
     def matches_all_matrix(self, index: ZoneMapIndex) -> np.ndarray:
         """``(num_queries, num_partitions)`` matches-all matrix for ``index``."""
-        return self._evaluate(index, want_all=True)
+        return self.evaluate(_IndexSource(index), want_all=True)
 
     def matrices(self, index: ZoneMapIndex) -> tuple[np.ndarray, np.ndarray]:
         """(may-match, matches-all) matrices in one call."""
@@ -387,276 +352,70 @@ class CompiledWorkload:
         out[:, delta.carried_new] = prior[:, delta.carried_old]
         if len(delta.changed):
             positions = np.asarray(delta.changed, dtype=np.int64)
-            out[:, positions] = self._evaluate(index, want_all, positions)
+            out[:, positions] = self.evaluate(_IndexSource(index, positions), want_all)
         return out
 
-    def _evaluate(
-        self,
-        index: ZoneMapIndex,
-        want_all: bool,
-        positions: np.ndarray | None = None,
-    ) -> np.ndarray:
-        num_cols = index.num_partitions if positions is None else len(positions)
+    def evaluate(self, source, want_all: bool = False) -> np.ndarray:
+        """``(num_queries, source.width)`` matrix over a zones source.
+
+        The one evaluation routine of both batched drivers: one kernel block
+        per group, the pre-planned depth-layer AND-reduction, then the
+        false rows and the residue predicates.  ``source`` is an
+        ``_IndexSource`` (one layout) or a
+        :class:`~repro.layouts.stacked.StackedStateSpace` (every layout).
+        """
+        width = source.width
         if self._num_atoms:
             # _plan_reduction pinned both row maps when atoms exist.
             assert self._base_rows is not None and self._target_rows is not None
             # Group kernels write straight into their slice of the block
             # matrix: no per-group allocation, no vstack copy.
-            stacked = np.empty((self._num_unique_atoms, num_cols), dtype=bool)
+            blocks = source.scratch("blocks", self._num_unique_atoms, width)
             offset = 0
             for group in self._groups:
                 rows = len(group.unodes)
-                self._group_matrix(
-                    group,
-                    index,
-                    want_all,
-                    num_cols,
-                    positions,
-                    stacked[offset : offset + rows],
-                )
+                self._group_block(group, source, want_all, blocks[offset : offset + rows])
                 offset += rows
-            reduced = stacked[self._base_rows]
+            reduced = np.take(blocks, self._base_rows, axis=0)
             for owner_ranks, atom_rows in self._layers:
+                layer = source.scratch("layer", len(atom_rows), width)
+                gathered = np.take(blocks, atom_rows, axis=0, out=layer)
                 if owner_ranks is None:
-                    np.logical_and(reduced, stacked[atom_rows], out=reduced)
+                    np.logical_and(reduced, gathered, out=reduced)
                 else:
-                    reduced[owner_ranks] &= stacked[atom_rows]
+                    reduced[owner_ranks] &= gathered
             if self._covers_all:
                 out = reduced  # target rows are exactly 0..Q-1, in order
             else:
-                out = np.ones((self.num_queries, num_cols), dtype=bool)
+                out = np.ones((self.num_queries, width), dtype=bool)
                 out[self._target_rows] = reduced
         else:
-            out = np.ones((self.num_queries, num_cols), dtype=bool)
+            out = np.ones((self.num_queries, width), dtype=bool)
         for row in self._false_rows:
             out[row] = False
+        segments = source.segments if self._residue else ()
         for row, node in self._residue:
-            mask = index._mask(node, want_all)
-            if positions is not None:
-                mask = mask[positions]
-            out[row] &= mask
+            for index, columns, positions in segments:
+                mask = index._mask(node, want_all)
+                out[row, columns] &= mask if positions is None else mask[positions]
         return out
 
     @staticmethod
-    def _assign(out: np.ndarray | None, block: np.ndarray) -> np.ndarray:
-        if out is None:
-            return block
-        out[:] = block
-        return out
+    def _group_block(group: _AtomGroup, source, want_all: bool, out: np.ndarray) -> None:
+        """One group's ``(unique_atoms, width)`` mask block, into ``out``.
 
-    def _group_matrix(
-        self,
-        group: _AtomGroup,
-        index: ZoneMapIndex,
-        want_all: bool,
-        num_cols: int,
-        positions: np.ndarray | None,
-        out: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """``(num_unique_atoms_in_group, num_partitions)`` mask block.
-
-        Kernels and fallbacks run over the group's *unique* constants;
-        duplicate atoms are never materialized — the pre-planned
-        reduction's row indices point straight at the unique rows.  With
-        ``out`` the block is written in place (a slice of the caller's
-        block matrix); the values are identical either way.
+        Segments whose column cannot be vectorized (non-numeric or lossy
+        zone boundaries) are overwritten with the per-predicate result,
+        which falls back to the scalar oracle there.
         """
-        try:
-            zones = index._column(group.column)
-        except _Unsupported:
-            return self._assign(
-                out, self._fallback_matrix(group, index, want_all, positions)
-            )
+        zones, fallback = source.column_zones(group.column)
         if zones is None:
             # Column in no partition's stats: may_match is vacuously True
             # (no-op under AND); matches_all is False for every partition.
-            if out is None:
-                return np.full((len(group.unodes), num_cols), not want_all, dtype=bool)
             out[:] = not want_all
-            return out
-        if positions is not None:
-            zones = _sliced_zones(zones, positions)
-        if group.kind == "in" and not zones.all_distinct:
-            # Mixed or absent distinct sets: the per-atom path handles
-            # the min/max branch and the per-partition mixing exactly.
-            return self._assign(
-                out, self._fallback_matrix(group, index, want_all, positions)
-            )
-        return self._group_mask(group, zones, want_all, out)
-
-    @staticmethod
-    def _fallback_matrix(
-        group: _AtomGroup,
-        index: ZoneMapIndex,
-        want_all: bool,
-        positions: np.ndarray | None,
-    ) -> np.ndarray:
-        rows = [index._mask(node, want_all) for node in group.unodes]
-        block = np.stack(rows) if len(rows) > 1 else rows[0][None, :]
-        if positions is not None:
-            block = block[:, positions]
-        return block
-
-    # ------------------------------------------------------------ group kernels
-    def _group_mask(
-        self,
-        group: _AtomGroup,
-        zones: _ColumnZones,
-        want_all: bool,
-        out: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """``(num_atoms, num_partitions)`` mask for one group.
-
-        Each branch is the broadcasted form of the matching
-        ``ZoneMapIndex`` branch; keep the two in sync.  ``out``, when
-        given, receives the result in place (the hot paths pass a slice
-        of the pre-allocated block matrix); the bits are identical.
-        """
-        if group.kind == "in":
-            mask = self._in_group_mask(group, zones, want_all, out)
-        elif group.kind == "between":
-            lows = np.asarray(group.lows)[:, None]
-            highs = np.asarray(group.highs)[:, None]
-            if not want_all:
-                mask = np.greater_equal(zones.maxs[None, :], lows, out=out)
-                mask &= zones.mins[None, :] <= highs
-            else:
-                mask = np.greater_equal(zones.mins[None, :], lows, out=out)
-                mask &= zones.maxs[None, :] <= highs
         else:
-            mask = self._comparison_group_mask(group, zones, want_all, out)
-        if zones.all_stats:
-            return mask
-        if not want_all:
-            mask |= ~zones.has_stats[None, :]
-            return mask
-        mask &= zones.has_stats[None, :]
-        return mask
-
-    def _comparison_group_mask(
-        self,
-        group: _AtomGroup,
-        zones: _ColumnZones,
-        want_all: bool,
-        out: np.ndarray | None = None,
-    ) -> np.ndarray:
-        mins = zones.mins[None, :]
-        maxs = zones.maxs[None, :]
-        values = np.asarray(group.values)[:, None]
-        op = group.kind
-        if not want_all:
-            if op == "==":
-                if not zones.any_distinct:
-                    mask = np.less_equal(mins, values, out=out)
-                    mask &= values <= maxs
-                    return mask
-                if zones.all_distinct:
-                    return self._member_matrix(group, zones, out)
-                member = self._member_matrix(group, zones)
-                in_range = (mins <= values) & (values <= maxs)
-                return self._assign(
-                    out, np.where(zones.has_distinct[None, :], member, in_range)
-                )
-            if op == "!=":
-                mask = np.equal(mins, values, out=out)
-                mask &= maxs == values
-                return np.logical_not(mask, out=mask)
-            if op == "<":
-                return np.less(mins, values, out=out)
-            if op == "<=":
-                return np.less_equal(mins, values, out=out)
-            if op == ">":
-                return np.greater(maxs, values, out=out)
-            return np.greater_equal(maxs, values, out=out)  # ">="
-        if op == "==":
-            mask = np.equal(mins, values, out=out)
-            mask &= maxs == values
-            return mask
-        if op == "!=":
-            if not zones.any_distinct:
-                mask = np.less(values, mins, out=out)
-                mask |= values > maxs
-                return mask
-            if zones.all_distinct:
-                member = self._member_matrix(group, zones, out)
-                return np.logical_not(member, out=member)
-            member = self._member_matrix(group, zones)
-            outside = (values < mins) | (values > maxs)
-            return self._assign(
-                out, np.where(zones.has_distinct[None, :], ~member, outside)
-            )
-        if op == "<":
-            return np.less(maxs, values, out=out)
-        if op == "<=":
-            return np.less_equal(maxs, values, out=out)
-        if op == ">":
-            return np.greater(mins, values, out=out)
-        return np.greater_equal(mins, values, out=out)  # ">="
-
-    @staticmethod
-    def _member_matrix(
-        group: _AtomGroup, zones: _ColumnZones, out: np.ndarray | None = None
-    ) -> np.ndarray:
-        """``member[a, p]``: is atom ``a``'s constant in partition ``p``'s
-        distinct set?  One bitmap gather for all atoms with known codes."""
-        num_parts = len(zones.mins)
-        rows: list[int] = []
-        codes: list[int] = []
-        if zones.bitmap is not None:
-            value_index = zones.value_index
-            for atom, value in enumerate(group.raw):
-                position = value_index.get(value)
-                if position is not None:
-                    rows.append(atom)
-                    codes.append(position)
-        if out is None:
-            member = np.zeros((len(group.raw), num_parts), dtype=bool)
-        else:
-            member = out
-            if len(rows) < len(group.raw):
-                member[:] = False  # rows without a known code stay all-False
-        if not rows:
-            return member
-        code_array = np.asarray(codes, dtype=np.int64)
-        row_array = np.asarray(rows, dtype=np.int64)
-        if zones.unpacked is not None:
-            # Pre-expanded bitmap (stacked state space): pure bool gather.
-            member[row_array] = zones.unpacked[:, code_array].T
-            return member
-        words = zones.bitmap[:, code_array // _WORD_BITS]  # (parts, found)
-        bits = np.left_shift(np.uint64(1), (code_array % _WORD_BITS).astype(np.uint64))
-        member[row_array] = ((words & bits[None, :]) != 0).T
-        return member
-
-    @staticmethod
-    def _in_group_mask(
-        group: _AtomGroup,
-        zones: _ColumnZones,
-        want_all: bool,
-        out: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Bitmap kernels for IN atoms; only called when every partition
-        carries a distinct set (``zones.all_distinct``)."""
-        num_words = zones.bitmap.shape[1]
-        packed = np.empty((len(group.unodes), num_words), dtype=np.uint64)
-        for atom, node in enumerate(group.unodes):
-            packed[atom] = _pack_value_set(node.values, zones.value_index, num_words)
-        num_parts = len(zones.mins)
-        if out is None:
-            mask = np.empty((len(group.unodes), num_parts), dtype=bool)
-        else:
-            mask = out
-        if not want_all:
-            mask[:] = False
-            for word in range(num_words):
-                mask |= (zones.bitmap[:, word][None, :] & packed[:, word][:, None]) != 0
-            return mask
-        mask[:] = True
-        for word in range(num_words):
-            mask &= (zones.bitmap[:, word][None, :] & ~packed[:, word][:, None]) == 0
-        return mask
-
-
-def compile_workload(predicates: Sequence[Predicate]) -> CompiledWorkload:
-    """Compile a query sample's predicates for batched evaluation."""
-    return CompiledWorkload(predicates)
+            _zone_mask(zones, group.kind, want_all, *group.block, out)
+        for index, columns, positions in fallback:
+            for row, node in enumerate(group.unodes):
+                mask = index._mask(node, want_all)
+                out[row, columns] = mask if positions is None else mask[positions]

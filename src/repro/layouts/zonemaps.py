@@ -18,37 +18,31 @@ vectorized may-match / matches-all masks over *all partitions at once*,
 and a batched entry point produces the full ``(num_queries,
 num_partitions)`` pruning matrix in one shot.
 
-The compiled path is an exact drop-in for the scalar oracle: for every
-supported predicate node the masks are bit-for-bit identical to looping
-``predicate.may_match`` / ``predicate.matches_all`` over the partitions
-(asserted by the equivalence test suite).  Nodes the compiler does not
-understand — user-defined ``Predicate`` subclasses, non-numeric zone
-boundaries — fall back to the scalar loop for that node only, so the
-engine is never *less* general than the oracle.
+This module holds the one definition of every atom kind's pruning rule
+(``Comparison`` ``== != < <= > >=``, ``Between``, ``In``; may-match and
+matches-all): :func:`_zone_mask` and the kernels behind it.  A kernel
+takes float64 scalar constants (one atom, a ``(partitions,)`` mask) or a
+block of constants on a leading atoms axis (an ``(atoms, partitions)``
+mask).  Three drivers call it, each for the input shape it wins on:
 
-Evaluation tiers sharing these compiled arrays, widest scope first:
-
+* the **tree walk** — :meth:`ZoneMapIndex._mask` recurses one predicate
+  with scalar constants; single-query planning, ``query_cost`` and the
+  batched drivers' ``Or``/``Not`` residue run here;
+* the **compiled sample** —
+  :class:`~repro.layouts.workload_compiler.CompiledWorkload` groups a
+  sample's atoms by column and kind and runs one block per group over a
+  layout, then one pre-planned AND-reduction;
 * the **stacked state space** —
-  :class:`~repro.layouts.stacked.StackedStateSpace` pads every layout's
-  dense zone arrays into ``(layouts × partitions)`` slabs and runs the
-  batched kernels over the whole state space at once, emitting
-  ``(layouts × queries × partitions)`` tensors for admission, pruning
-  and cost-matrix batching;
-* the **batched fast path** —
-  :class:`~repro.layouts.workload_compiler.CompiledWorkload` compiles a
-  whole query sample (grouping atoms by column and operator) and produces
-  the full ``(num_queries, num_partitions)`` matrices in one column-wise
-  pass; the decision loops (cost evaluator, admission, batch planning)
-  run here;
-* the **per-predicate path** — :meth:`ZoneMapIndex.prune_matrix` /
-  :meth:`ZoneMapIndex.may_match_mask` recurse ``_mask`` once per
-  predicate, vectorized across partitions; single-query planning and the
-  batched path's residue (``Or``/``Not`` subtrees, unsupported atoms)
-  run here;
-* the **scalar oracle** — ``Predicate.may_match`` looped over
-  ``PartitionMetadata``; the reference semantics both fast tiers are
-  asserted bit-for-bit against, and the per-node fallback for anything
-  the compiler cannot lower.
+  :class:`~repro.layouts.stacked.StackedStateSpace` feeds the same
+  routine every layout's zones at once, as padded ``(layouts ×
+  partitions)`` slabs viewed flat.
+
+The **scalar oracle** — ``Predicate.may_match`` / ``matches_all`` looped
+over ``PartitionMetadata`` — stays the reference every driver is
+asserted bit-for-bit against, and the per-node fallback (``_scalar_mask``)
+for anything the kernels cannot lower: user-defined ``Predicate``
+subclasses, non-numeric zone boundaries, float64-lossy constants.  So
+the engine is never *less* general than the oracle.
 
 Incremental maintenance contract: a reorganization that leaves most
 partitions untouched is described by a :class:`ReorgDelta` (from
@@ -58,7 +52,7 @@ unchanged partitions and recomputing only the changed ones.  A carried
 column's value-union is append-only (old bit positions stay valid), a
 column that turns non-compilable or newly-statted simply drops back to
 lazy compilation, and the resulting index is behaviorally identical to a
-from-scratch ``compile_zone_maps`` on the new metadata (asserted by the
+from-scratch ``ZoneMapIndex`` on the new metadata (asserted by the
 stateful reorg test suite).  The delta must be computed against the very
 metadata object the index was built from.
 """
@@ -89,10 +83,8 @@ from .metadata import LayoutMetadata
 __all__ = [
     "ReorgDelta",
     "ZoneMapIndex",
-    "compile_zone_maps",
     "compute_reorg_delta",
     "compute_reorg_delta_from_assignments",
-    "prune_matrix",
 ]
 
 _WORD_BITS = 64
@@ -170,6 +162,189 @@ class _ColumnZones:
         self.all_distinct = bool(has_distinct.all())
 
 
+# ------------------------------------------------------------ pruning kernels
+# The one definition of every atom kind's pruning rule.  Constants are
+# float64 scalars (one atom: ``(P,)`` masks) or ``(atoms, 1)`` columns (a
+# block of atoms: ``(atoms, P)`` masks); the zone arrays broadcast against
+# either.  ``out`` receives a block in place.  Every driver — the tree
+# walk, the compiled sample and the stacked state space — goes through
+# :func:`_zone_mask`.
+
+
+def _atom(node: Predicate, eager_in: bool) -> tuple[str, object, object]:
+    """``(kind, a, b)``: the kernel constants of one Comparison, Between or In.
+
+    A comparison's ``a`` is its float value and ``b`` the raw constant (for
+    distinct-set membership); a Between's are its bounds; an In's ``a`` is
+    its value set and ``b`` the float view its min/max rule needs.
+    ``eager_in=False`` leaves that conversion to the kernel, so a lossy
+    value costs nothing on a column whose partitions all carry distinct
+    sets.  Raises ``_Unsupported`` for a float64-lossy constant.
+    """
+    if type(node) is Comparison:
+        return node.op, _exact_float(node.value), node.value
+    if type(node) is Between:
+        return "between", _exact_float(node.low), _exact_float(node.high)
+    return "in", node.values, _in_floats(node.values) if eager_in else None
+
+
+def _in_floats(values) -> np.ndarray:
+    """An In's values as exact float64s (for its min/max rule)."""
+    return np.array([_exact_float(value) for value in values], dtype=np.float64)
+
+
+def _stack_constants(kind: str, a: list, b: list) -> tuple:
+    """Per-atom constants (from :func:`_atom`) stacked on an atoms axis."""
+    if kind == "in":
+        return a, b
+    values = np.array(a, dtype=np.float64)[:, None]
+    if kind == "between":
+        return values, np.array(b, dtype=np.float64)[:, None]
+    return values, b
+
+
+def _assign(out: np.ndarray | None, block: np.ndarray) -> np.ndarray:
+    if out is None:
+        return block
+    out[:] = block
+    return out
+
+
+def _membership(zones: _ColumnZones, raw, out: np.ndarray | None = None) -> np.ndarray:
+    """Is each constant in each partition's distinct set?
+
+    ``raw`` is one constant (a ``(P,)`` result) or a list of them (an
+    ``(atoms, P)`` block): one bitmap gather for all atoms with known codes.
+    A column without distinct sets has an empty ``value_index``.
+    """
+    if not isinstance(raw, list):
+        position = zones.value_index.get(raw)
+        if position is None:
+            return np.zeros(len(zones.mins), dtype=bool)
+        word = zones.bitmap[:, position // _WORD_BITS]
+        return (word & np.uint64(1 << (position % _WORD_BITS))) != 0
+    rows: list[int] = []
+    codes: list[int] = []
+    for atom, value in enumerate(raw):
+        position = zones.value_index.get(value)
+        if position is not None:
+            rows.append(atom)
+            codes.append(position)
+    if out is None:
+        member = np.zeros((len(raw), len(zones.mins)), dtype=bool)
+    else:
+        member = out
+        if len(rows) < len(raw):
+            member[:] = False  # rows without a known code stay all-False
+    if not rows:
+        return member
+    code_array = np.asarray(codes, dtype=np.int64)
+    if zones.unpacked is not None:
+        # Pre-expanded bitmap (stacked state space): pure bool gather.
+        member[rows] = zones.unpacked[:, code_array].T
+        return member
+    member[rows] = _unpack(zones.bitmap, code_array).T
+    return member
+
+
+def _and(mask: np.ndarray, other: np.ndarray) -> np.ndarray:
+    mask &= other
+    return mask
+
+
+def _or(mask: np.ndarray, other: np.ndarray) -> np.ndarray:
+    mask |= other
+    return mask
+
+
+#: ``(kind, want_all) -> rule(zones, a, b, out)``: the min/max envelope
+#: rule of each comparison and of Between (constants as in :func:`_atom`).
+#: Two-sided rules fill ``out`` with one side and fold the other in place.
+_MINMAX_RULES = {
+    ("==", False): lambda z, v, _, out: _and(np.less_equal(z.mins, v, out), v <= z.maxs),
+    ("!=", False): lambda z, v, _, out: _or(np.not_equal(z.mins, v, out), z.maxs != v),
+    ("<", False): lambda z, v, _, out: np.less(z.mins, v, out),
+    ("<=", False): lambda z, v, _, out: np.less_equal(z.mins, v, out),
+    (">", False): lambda z, v, _, out: np.greater(z.maxs, v, out),
+    (">=", False): lambda z, v, _, out: np.greater_equal(z.maxs, v, out),
+    ("==", True): lambda z, v, _, out: _and(np.equal(z.mins, v, out), z.maxs == v),
+    ("!=", True): lambda z, v, _, out: _or(np.greater(z.mins, v, out), v > z.maxs),
+    ("<", True): lambda z, v, _, out: np.less(z.maxs, v, out),
+    ("<=", True): lambda z, v, _, out: np.less_equal(z.maxs, v, out),
+    (">", True): lambda z, v, _, out: np.greater(z.mins, v, out),
+    (">=", True): lambda z, v, _, out: np.greater_equal(z.mins, v, out),
+    ("between", False): lambda z, lo, hi, out: _and(np.greater_equal(z.maxs, lo, out), z.mins <= hi),
+    ("between", True): lambda z, lo, hi, out: _and(np.greater_equal(z.mins, lo, out), z.maxs <= hi),
+}
+
+
+def _distinct_equality(zones, want_all, value, raw, out=None) -> np.ndarray:
+    """``==`` may-match / ``!=`` matches-all where partitions carry distinct
+    sets: exact membership there, the min/max envelope elsewhere."""
+    member = _membership(zones, raw, out if zones.all_distinct else None)
+    if want_all:
+        member = np.logical_not(member, out=member)
+    if zones.all_distinct:
+        return member
+    envelope = _MINMAX_RULES["!=" if want_all else "==", want_all](zones, value, raw, None)
+    return _assign(out, np.where(zones.has_distinct, member, envelope))
+
+
+def _in_mask(zones, want_all, sets, floats, out=None) -> np.ndarray:
+    """In rule: bitmap intersection (may) / subset (all) where partitions
+    carry distinct sets, any value inside ``[min, max]`` (may) / a constant
+    partition holding one of the values (all) elsewhere."""
+    if not isinstance(sets, list):
+        return _in_mask(zones, want_all, [sets], None if floats is None else [floats])[0]
+    if zones.any_distinct:
+        num_words = zones.bitmap.shape[1]
+        packed = np.empty((len(sets), 1, num_words), dtype=np.uint64)
+        for atom, values in enumerate(sets):
+            packed[atom, 0] = _pack_value_set(values, zones.value_index, num_words)
+        if want_all:
+            by_bitmap = ((zones.bitmap & ~packed) == 0).all(axis=2)
+        else:
+            by_bitmap = (zones.bitmap & packed).any(axis=2)
+        if zones.all_distinct:
+            return _assign(out, by_bitmap)
+    if floats is None:
+        floats = [_in_floats(values) for values in sets]
+    flat = np.concatenate(floats)[:, None]
+    starts = np.cumsum([0] + [len(values) for values in floats[:-1]])
+    if want_all:
+        hits = np.logical_or.reduceat(flat == zones.mins, starts, axis=0)
+        hits &= zones.mins == zones.maxs
+    else:
+        inside = (zones.mins <= flat) & (flat <= zones.maxs)
+        hits = np.logical_or.reduceat(inside, starts, axis=0)
+    if zones.any_distinct:
+        hits = np.where(zones.has_distinct, by_bitmap, hits)
+    return _assign(out, hits)
+
+
+def _zone_mask(zones, kind, want_all, a, b, out=None) -> np.ndarray:
+    """One atom kind's may-match (``want_all=False``) or matches-all mask.
+
+    ``kind`` is a comparison operator, ``"between"`` or ``"in"``, with
+    constants ``a``, ``b`` as built by :func:`_atom` (one atom) or
+    :func:`_stack_constants` (a block).  Partitions without stats for the
+    column are "no information": may-match True, matches-all False.
+    """
+    if kind == "in":
+        mask = _in_mask(zones, want_all, a, b, out)
+    elif zones.any_distinct and kind == ("!=" if want_all else "=="):
+        mask = _distinct_equality(zones, want_all, a, b, out)
+    else:
+        mask = _MINMAX_RULES[kind, want_all](zones, a, b, out)
+    if zones.all_stats:
+        return mask
+    if want_all:
+        mask &= zones.has_stats
+    else:
+        mask |= ~zones.has_stats
+    return mask
+
+
 def _fractions_from_matrix(
     matrix: np.ndarray, row_counts: np.ndarray, total_rows: float
 ) -> np.ndarray:
@@ -186,14 +361,28 @@ def _fractions_from_matrix(
     return (matrix.astype(np.float64) @ row_counts) / total_rows
 
 
+def _bits(positions: np.ndarray) -> np.ndarray:
+    """The uint64 word mask of each bit position (within its word)."""
+    return np.left_shift(np.uint64(1), (positions % _WORD_BITS).astype(np.uint64))
+
+
+def _set_bits(flat: np.ndarray, rows, positions: np.ndarray, num_words: int) -> None:
+    """OR bit ``positions[i]`` into row ``rows[i]`` of a flattened
+    ``(rows, num_words)`` bitmap, in one scatter."""
+    np.bitwise_or.at(flat, rows * num_words + positions // _WORD_BITS, _bits(positions))
+
+
+def _unpack(bitmap: np.ndarray, positions: np.ndarray) -> np.ndarray:
+    """``(partitions, len(positions))`` bools: is bit ``positions[j]`` set?"""
+    return (bitmap[:, positions // _WORD_BITS] & _bits(positions)) != 0
+
+
 def _pack_value_set(values, value_index: dict, num_words: int) -> np.ndarray:
     """Pack a set of values into a uint64 bitmap over the column's union."""
     packed = np.zeros(num_words, dtype=np.uint64)
     positions = [value_index[v] for v in values if v in value_index]
     if positions:
-        pos = np.asarray(positions, dtype=np.int64)
-        bits = np.left_shift(np.uint64(1), (pos % _WORD_BITS).astype(np.uint64))
-        np.bitwise_or.at(packed, pos // _WORD_BITS, bits)
+        _set_bits(packed, 0, np.asarray(positions, dtype=np.int64), num_words)
     return packed
 
 
@@ -267,8 +456,7 @@ def _compile_column(partitions, name: str) -> _ColumnZones | None:
                 dtype=np.int64,
             )
         flat = np.zeros(count * num_words, dtype=np.uint64)
-        bits = np.left_shift(np.uint64(1), (pos % _WORD_BITS).astype(np.uint64))
-        np.bitwise_or.at(flat, row * num_words + pos // _WORD_BITS, bits)
+        _set_bits(flat, row, pos, num_words)
         bitmap = flat.reshape(count, num_words)
     return _ColumnZones(mins, maxs, has_stats, has_distinct, bitmap, value_index)
 
@@ -333,145 +521,6 @@ class ZoneMapIndex:
     def _const(self, fill: bool) -> np.ndarray:
         return np.full(self.num_partitions, fill, dtype=bool)
 
-    def _membership(self, zones: _ColumnZones, value) -> np.ndarray:
-        """Per-partition: is ``value`` in the partition's distinct set?"""
-        member = np.zeros(self.num_partitions, dtype=bool)
-        if zones.bitmap is None:
-            return member
-        position = zones.value_index.get(value)
-        if position is None:
-            return member
-        word = zones.bitmap[:, position // _WORD_BITS]
-        bit = np.uint64(1) << np.uint64(position % _WORD_BITS)
-        np.not_equal(word & bit, 0, out=member)
-        return member
-
-    def _comparison_mask(self, node: Comparison, want_all: bool) -> np.ndarray:
-        zones = self._column(node.column)
-        if zones is None:
-            return self._const(not want_all)
-        value = _exact_float(node.value)
-        mins, maxs = zones.mins, zones.maxs
-        op = node.op
-        if not want_all:
-            if op == "==":
-                if not zones.any_distinct:
-                    mask = (mins <= value) & (value <= maxs)
-                elif zones.all_distinct:
-                    mask = self._membership(zones, node.value)
-                else:
-                    in_range = (mins <= value) & (value <= maxs)
-                    mask = np.where(
-                        zones.has_distinct, self._membership(zones, node.value), in_range
-                    )
-            elif op == "!=":
-                mask = ~((mins == value) & (maxs == value))
-            elif op == "<":
-                mask = mins < value
-            elif op == "<=":
-                mask = mins <= value
-            elif op == ">":
-                mask = maxs > value
-            else:  # ">="
-                mask = maxs >= value
-            if zones.all_stats:
-                return mask
-            return mask | ~zones.has_stats
-        if op == "==":
-            mask = (mins == value) & (maxs == value)
-        elif op == "!=":
-            if not zones.any_distinct:
-                mask = (value < mins) | (value > maxs)
-            elif zones.all_distinct:
-                mask = ~self._membership(zones, node.value)
-            else:
-                outside = (value < mins) | (value > maxs)
-                mask = np.where(
-                    zones.has_distinct, ~self._membership(zones, node.value), outside
-                )
-        elif op == "<":
-            mask = maxs < value
-        elif op == "<=":
-            mask = maxs <= value
-        elif op == ">":
-            mask = mins > value
-        else:  # ">="
-            mask = mins >= value
-        if zones.all_stats:
-            return mask
-        return mask & zones.has_stats
-
-    def _between_mask(self, node: Between, want_all: bool) -> np.ndarray:
-        zones = self._column(node.column)
-        if zones is None:
-            return self._const(not want_all)
-        low, high = _exact_float(node.low), _exact_float(node.high)
-        if not want_all:
-            mask = (zones.maxs >= low) & (zones.mins <= high)
-            if zones.all_stats:
-                return mask
-            return mask | ~zones.has_stats
-        mask = (zones.mins >= low) & (zones.maxs <= high)
-        if zones.all_stats:
-            return mask
-        return mask & zones.has_stats
-
-    @staticmethod
-    def _in_values(node: In) -> np.ndarray:
-        """The In values as an exact, sorted float64 array (for min/max tests).
-
-        Only the min/max branches need this; the pure-bitmap paths test
-        membership by hash and never convert, so a lossy value there costs
-        nothing.
-        """
-        try:
-            ordered_values = sorted(node.values)
-        except TypeError:
-            raise _Unsupported(node) from None
-        return np.array([_exact_float(v) for v in ordered_values], dtype=np.float64)
-
-    def _in_mask(self, node: In, want_all: bool) -> np.ndarray:
-        zones = self._column(node.column)
-        if zones is None:
-            return self._const(not want_all)
-        if not want_all:
-            if zones.all_distinct:
-                packed = _pack_value_set(
-                    node.values, zones.value_index, zones.bitmap.shape[1]
-                )
-                mask = (zones.bitmap & packed[None, :]).any(axis=1)
-            else:
-                # Min/max branch: any value inside [min, max].
-                values = self._in_values(node)
-                inside = (zones.mins[:, None] <= values[None, :]) & (
-                    values[None, :] <= zones.maxs[:, None]
-                )
-                mask = inside.any(axis=1)
-                if zones.any_distinct:
-                    packed = _pack_value_set(
-                        node.values, zones.value_index, zones.bitmap.shape[1]
-                    )
-                    intersects = (zones.bitmap & packed[None, :]).any(axis=1)
-                    mask = np.where(zones.has_distinct, intersects, mask)
-            if zones.all_stats:
-                return mask
-            return mask | ~zones.has_stats
-        if zones.all_distinct:
-            packed = _pack_value_set(node.values, zones.value_index, zones.bitmap.shape[1])
-            mask = ((zones.bitmap & ~packed[None, :]) == 0).all(axis=1)
-        else:
-            values = self._in_values(node)
-            mask = (zones.mins == zones.maxs) & np.isin(zones.mins, values)
-            if zones.any_distinct:
-                packed = _pack_value_set(
-                    node.values, zones.value_index, zones.bitmap.shape[1]
-                )
-                subset = ((zones.bitmap & ~packed[None, :]) == 0).all(axis=1)
-                mask = np.where(zones.has_distinct, subset, mask)
-        if zones.all_stats:
-            return mask
-        return mask & zones.has_stats
-
     def _scalar_mask(self, predicate: Predicate, want_all: bool) -> np.ndarray:
         """Reference-oracle fallback for nodes the compiler can't lower."""
         partitions = self.metadata.partitions
@@ -483,24 +532,28 @@ class ZoneMapIndex:
 
         Only the requested side is computed: ``Not`` flips to the other side
         for its child, everything else stays on one side, so a Not-free tree
-        does half the work of computing both masks.
+        does half the work of computing both masks.  Atoms go through the
+        shared kernel with scalar constants.
         """
         node_type = type(predicate)
-        try:
-            if node_type is Comparison:
-                return self._comparison_mask(predicate, want_all)
-            if node_type is Between:
-                return self._between_mask(predicate, want_all)
-            if node_type is In:
-                return self._in_mask(predicate, want_all)
-        except _Unsupported:
-            return self._scalar_mask(predicate, want_all)
+        if node_type is Comparison or node_type is Between or node_type is In:
+            try:
+                zones = self._column(predicate.column)
+                if zones is None:
+                    return self._const(not want_all)
+                kind, a, b = _atom(predicate, eager_in=False)
+                return _zone_mask(zones, kind, want_all, a, b)
+            except _Unsupported:
+                return self._scalar_mask(predicate, want_all)
         if node_type is And or node_type is Or:
             # And: may = ∧ may, all = ∧ all; Or: may = ∨ may, all = ∨ all.
-            combine = np.ndarray.__and__ if node_type is And else np.ndarray.__or__
+            # Every child mask is a fresh array, so folding in place is safe.
             mask = self._mask(predicate.children[0], want_all)
             for child in predicate.children[1:]:
-                mask = combine(mask, self._mask(child, want_all))
+                if node_type is And:
+                    mask &= self._mask(child, want_all)
+                else:
+                    mask |= self._mask(child, want_all)
             return mask
         if node_type is Not:
             return ~self._mask(predicate.child, not want_all)
@@ -592,7 +645,7 @@ class ZoneMapIndex:
         bitmap rows stay valid.  Columns this index never compiled stay
         lazy, and columns that cannot be carried exactly (non-numeric new
         boundaries) drop back to lazy compilation — behavior is always
-        identical to ``compile_zone_maps(delta.new_metadata)``.
+        identical to ``ZoneMapIndex(delta.new_metadata)``.
         """
         if delta.old_metadata is not self.metadata:
             raise ValueError(
@@ -670,11 +723,7 @@ class ZoneMapIndex:
                     [value_index[v] for _, s in changed_sets for v in s],
                     dtype=np.int64,
                 )
-                bits = np.left_shift(
-                    np.uint64(1), (pos % _WORD_BITS).astype(np.uint64)
-                )
-                flat = bitmap.reshape(-1)
-                np.bitwise_or.at(flat, row * num_words + pos // _WORD_BITS, bits)
+                _set_bits(bitmap.reshape(-1), row, pos, num_words)
         else:
             value_index = {}
         return _ColumnZones(mins, maxs, has_stats, has_distinct, bitmap, value_index)
@@ -837,13 +886,3 @@ def compute_reorg_delta_from_assignments(
         carried_new=np.flatnonzero(carried_mask),
         carried_old=old_position[carried_mask],
     )
-
-
-def compile_zone_maps(metadata: LayoutMetadata) -> ZoneMapIndex:
-    """Compile a layout's metadata into a :class:`ZoneMapIndex`."""
-    return ZoneMapIndex(metadata)
-
-
-def prune_matrix(metadata: LayoutMetadata, predicates: Sequence[Predicate]) -> np.ndarray:
-    """One-shot ``(num_queries, num_partitions)`` pruning matrix."""
-    return ZoneMapIndex(metadata).prune_matrix(predicates)

@@ -1,8 +1,8 @@
 """Differential proof: engine-driven replay ≡ the pre-facade loop, bit for bit.
 
 ``replay_physical`` is now a thin driver over ``LayoutEngine`` +
-``SchedulePolicy``; the pre-facade hand-wired loop is kept verbatim as
-``_replay_physical_direct``.  These tests drive both over the same
+``SchedulePolicy``; the pre-facade hand-wired loop is kept verbatim here
+as ``_replay_physical_direct``.  These tests drive both over the same
 logical schedules — hypothesis-generated switch patterns, strides and
 step budgets, in both synchronous and pipelined modes — and assert:
 
@@ -24,12 +24,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pathlib import Path
+
 from repro.core import RunLedger
+from repro.core.reorg_scheduler import ReorgScheduler
 from repro.experiments.harness import MethodResult
-from repro.experiments.physical import _replay_physical_direct, replay_physical
+from repro.experiments.physical import (
+    PhysicalRunResult,
+    _validate_replay,
+    replay_physical,
+)
 from repro.layouts import RangeLayoutBuilder
 from repro.queries import Query, QueryStream, between
-from repro.storage import PartitionStore
+from repro.storage import PartitionStore, Table
+from repro.storage.executor import QueryExecutor
+from repro.storage.reorg import reorganize
 from repro.workloads import tpch
 
 
@@ -74,6 +83,111 @@ def build_schedule(layout_pool, layout_choices, alpha):
         summary=ledger.summary(),
         ledger=ledger,
         layouts={layout.layout_id: layout for layout in layout_pool},
+    )
+
+
+def _replay_physical_direct(
+    table: Table,
+    stream: QueryStream,
+    result: MethodResult,
+    store_root: Path | str,
+    sample_stride: int = 10,
+    compress: bool = True,
+    async_reorg: bool = False,
+    step_partitions: int = 16,
+    alpha: float | None = None,
+) -> PhysicalRunResult:
+    """The pre-facade replay loop, kept as the differential reference.
+
+    Hand-wires ``PartitionStore`` + ``QueryExecutor`` + ``ReorgScheduler``
+    exactly as ``replay_physical`` did before the ``LayoutEngine`` facade
+    existed.  The tests below assert the engine-driven path produces
+    identical metadata, partition bytes and deterministic counters in both
+    modes; it exists for that proof, not for production use.
+    """
+    history = result.ledger.layout_history
+    _validate_replay(sample_stride, history, stream)
+    store = PartitionStore(store_root, compress=compress)
+    executor = QueryExecutor(store)
+    scheduler = (
+        ReorgScheduler(
+            store, executor=executor, alpha=alpha, step_partitions=step_partitions
+        )
+        if async_reorg
+        else None
+    )
+
+    current_id = history[0]
+    stored = store.materialize(table, result.layouts[current_id])
+    reorg_seconds = 0.0
+    movement_charged = 0.0
+    sampled_seconds: list[float] = []
+    num_switches = 0
+
+    def settle_pipeline():
+        """Drain the in-flight pipeline and account for it exactly once."""
+        nonlocal stored, reorg_seconds, movement_charged
+        stored, completed = scheduler.drain()
+        reorg_seconds += completed.elapsed_seconds
+        movement_charged += scheduler.charged
+
+    try:
+        for index, query in enumerate(stream):
+            target_id = history[index]
+            if target_id != current_id:
+                if scheduler is not None:
+                    if scheduler.active:
+                        # Back-to-back switch decisions serialize: finish
+                        # the in-flight move before starting the next.
+                        settle_pipeline()
+                    scheduler.start(stored, result.layouts[target_id], table.schema)
+                else:
+                    stored, reorg_result = reorganize(
+                        store, stored, result.layouts[target_id], table.schema
+                    )
+                    reorg_seconds += reorg_result.elapsed_seconds
+                    if alpha is not None:
+                        movement_charged += alpha
+                    # The old files are gone from disk; its compiled index
+                    # is carried forward incrementally for the partitions
+                    # the reorg left untouched (falls back to lazy
+                    # recompile).
+                    executor.apply_reorg(current_id, stored, reorg_result.delta)
+                num_switches += 1
+                current_id = target_id
+            if scheduler is not None and scheduler.pipeline is not None:
+                # Serve against the visible epoch (old until the flip).
+                stored = scheduler.visible
+            if index % sample_stride == 0:
+                outcome = executor.execute(stored, query)
+                sampled_seconds.append(outcome.elapsed_seconds)
+            if scheduler is not None and scheduler.active:
+                scheduler.tick()
+                if not scheduler.active:
+                    settle_pipeline()
+        if scheduler is not None and scheduler.active:
+            # The stream ended with a move in flight: finish it so the
+            # result accounts for the whole reorganization.
+            settle_pipeline()
+    except BaseException:
+        # Unwinding on error (or Ctrl-C): the result is discarded, so
+        # don't execute the remaining movement steps just to clean up —
+        # abort is O(1) and leaves the old epoch's files (= `stored`).
+        if scheduler is not None and scheduler.active:
+            scheduler.abort()
+        raise
+    finally:
+        store.delete_layout(stored)
+
+    queries_timed = len(sampled_seconds)
+    mean_query = sum(sampled_seconds) / queries_timed if queries_timed else 0.0
+    return PhysicalRunResult(
+        query_seconds=mean_query * len(stream),
+        reorg_seconds=reorg_seconds,
+        num_switches=num_switches,
+        queries_timed=queries_timed,
+        queries_total=len(stream),
+        movement_charged=movement_charged,
     )
 
 

@@ -140,6 +140,56 @@ def test_corruption_before_the_tail_raises(tmp_path, schema, rng):
         store.read_batches()
 
 
+def test_torn_tail_then_append_still_reopens(tmp_path, schema, rng):
+    """Crash → open → append → open: the torn tail never becomes a
+    non-tail file, and the store answers exactly the acknowledged rows
+    plus the batch appended after recovery."""
+    store = StoreDir.initialize(tmp_path / "s", _manifest(schema))
+    acknowledged = [_batch(schema, rng) for _ in range(2)]
+    for batch in acknowledged:
+        store.append_batch(batch)
+    tail = store.append_batch(_batch(schema, rng))
+    tail.write_bytes(tail.read_bytes()[:40])  # the crash cut this write short
+
+    recovered = StoreDir(store.root)  # the crashed process's handle is gone
+    engine = recovered.open_engine()
+    fresh = _batch(schema, rng, n=50)
+    try:
+        recovered.append_batch(fresh)
+        engine.ingest(fresh)
+    finally:
+        engine.close()
+
+    reopened = StoreDir(store.root)
+    expected = acknowledged + [fresh]
+    replayed = reopened.read_batches()
+    assert len(replayed) == len(expected)
+    for got, want in zip(replayed, expected, strict=True):
+        np.testing.assert_array_equal(got["x"], want["x"])
+        np.testing.assert_array_equal(got["color"], want["color"])
+    x = np.concatenate([batch["x"] for batch in expected])
+    engine = reopened.open_engine()
+    try:
+        for threshold in (0.0, 25.0, 75.0):
+            result = engine.query(Query(ge("x", threshold)))
+            assert result.total_rows == len(x)
+            assert result.rows_matched == int((x >= threshold).sum())
+    finally:
+        engine.close()
+
+
+def test_torn_tail_is_removed_before_a_direct_append(tmp_path, schema, rng):
+    """An append from a fresh handle (the CLI path) drops the torn tail
+    first, so the new batch takes its sequence number."""
+    store = StoreDir.initialize(tmp_path / "s", _manifest(schema))
+    store.append_batch(_batch(schema, rng))
+    tail = store.append_batch(_batch(schema, rng))
+    tail.write_bytes(tail.read_bytes()[:40])
+    written = StoreDir(store.root).append_batch(_batch(schema, rng))
+    assert written == tail
+    assert len(StoreDir(store.root).read_batches()) == 2
+
+
 # --------------------------------------------------------------------- engine
 def test_open_engine_replays_log_single(tmp_path, schema, rng):
     store = StoreDir.initialize(tmp_path / "s", _manifest(schema))
